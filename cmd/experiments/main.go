@@ -7,7 +7,8 @@
 //
 //	experiments [-run name,...|all] [-workers N] [-format text|json|csv]
 //	            [-seed S] [-instructions N] [-trials N] [-trace f.trace,...]
-//	            [-l2 SETSxWAYS,...] [-l2lat N] [-store DIR] [-resume] [-list]
+//	            [-l2 SETSxWAYS,...] [-l2lat N] [-store DIR] [-resume]
+//	            [-cpuprofile FILE] [-list]
 //
 // Experiment names may be unique prefixes ("rel" for "reliability").
 // For a fixed -seed, output is byte-identical for every -workers value.
@@ -24,6 +25,9 @@
 // wrong result, and resumed output stays byte-identical to an
 // uninterrupted run. On interrupt or task failure the driver still
 // writes every result that did complete, then exits non-zero.
+//
+// -cpuprofile FILE writes a runtime/pprof CPU profile of the run to
+// FILE (inspect with `go tool pprof`); stdout bytes are unchanged.
 package main
 
 import (
@@ -32,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -75,10 +80,18 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 		l2Lat        = fs.Int("l2lat", 0, "L2 hit latency in cycles for the hierarchy sweeps (0 = default 6)")
 		storeDir     = fs.String("store", "", "directory of the durable result store; every completed grid point is checkpointed there")
 		resume       = fs.Bool("resume", false, "serve matching -store checkpoints as cache hits instead of recomputing (requires -store)")
+		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		list         = fs.Bool("list", false, "list registered experiments and exit")
 	)
 	if err := cli.Parse(fs, args); err != nil {
 		return err
+	}
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		defer stop()
 	}
 	if *resume && *storeDir == "" {
 		return fmt.Errorf("-resume requires -store DIR (there is nothing to resume from)")
@@ -165,4 +178,23 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 	return sink.Write(results)
+}
+
+// startCPUProfile starts a CPU profile into path; the returned function
+// stops it and closes the file.
+func startCPUProfile(path string) (stop func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("cpu profile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cpu profile: %w", err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: cpu profile: %v\n", err)
+		}
+	}, nil
 }

@@ -71,6 +71,33 @@ func TestDeterministicOutputAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestCPUProfile smokes -cpuprofile: the profile is written (a gzipped
+// pprof protobuf) and stdout is byte-identical to a run without it.
+func TestCPUProfile(t *testing.T) {
+	args := []string{"-run", "headline,fig3", "-instructions", "5000", "-format", "json"}
+	var plain, profiled bytes.Buffer
+	if err := run(args, &plain); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	if err := run(append(args, "-cpuprofile", path), &profiled); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+		t.Fatal("-cpuprofile changed stdout")
+	}
+	prof, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prof) < 2 || prof[0] != 0x1f || prof[1] != 0x8b {
+		t.Fatalf("profile is not a gzipped pprof file (%d bytes)", len(prof))
+	}
+	if err := run([]string{"-run", "area", "-cpuprofile", filepath.Join(t.TempDir(), "no", "such", "dir")}, &bytes.Buffer{}); err == nil {
+		t.Fatal("unwritable -cpuprofile path accepted")
+	}
+}
+
 func TestUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-run", "nonsense"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown experiment accepted")

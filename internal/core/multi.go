@@ -3,12 +3,9 @@ package core
 import (
 	"fmt"
 
-	"edcache/internal/bench"
 	"edcache/internal/cache"
 	"edcache/internal/cpu"
-	"edcache/internal/sim"
 	"edcache/internal/trace"
-	"edcache/internal/yield"
 )
 
 // Single-pass multi-configuration replay: a group of (System, Mode)
@@ -214,38 +211,4 @@ func RunGroup(name string, stream trace.Stream, members []GroupMember) ([]Report
 // group costs one slab walk total.
 func RunGroupArena(name string, a trace.Slab, members []GroupMember) ([]Report, error) {
 	return RunGroup(name, a.NewCursor(), members)
-}
-
-// RunPairsMulti is RunPairsArena on the single-pass engine: per
-// workload, baseline and proposed replay the shared slab as one
-// two-member group (one slab walk, one classification, and — the
-// designs' cache behaviour being identical at equal mode — one cache
-// simulation per side). Pairs are bit-identical to RunPairsArena for
-// any worker count.
-func RunPairsMulti(s yield.Scenario, m Mode, workloads []bench.Workload, arenas *bench.ArenaCache, workers int) ([]Pair, error) {
-	return runPairsGrouped(s, m, workloads, workers, func(base, prop *System, w bench.Workload) ([]Report, error) {
-		return RunGroupArena(w.Name, arenas.Get(w), []GroupMember{{base, m}, {prop, m}})
-	})
-}
-
-// runPairsGrouped mirrors runPairsOn with a group evaluation per
-// workload: runGroup returns the [baseline, proposed] reports from one
-// shared pass.
-func runPairsGrouped(s yield.Scenario, m Mode, workloads []bench.Workload, workers int, runGroup func(base, prop *System, w bench.Workload) ([]Report, error)) ([]Pair, error) {
-	base, err := NewSystem(PaperConfig(s, Baseline))
-	if err != nil {
-		return nil, err
-	}
-	prop, err := NewSystem(PaperConfig(s, Proposed))
-	if err != nil {
-		return nil, err
-	}
-	return sim.Map(workers, len(workloads), func(i int) (Pair, error) {
-		w := workloads[i]
-		reps, err := runGroup(base, prop, w)
-		if err != nil {
-			return Pair{}, fmt.Errorf("core: %s: %w", w.Name, err)
-		}
-		return Pair{Workload: w.Name, Base: reps[0], Prop: reps[1]}, nil
-	})
 }

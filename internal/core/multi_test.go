@@ -90,29 +90,6 @@ func TestGroupDedupSharesSimulators(t *testing.T) {
 	}
 }
 
-// TestRunPairsMultiMatchesRunPairsArena pins the grouped fan-out entry
-// point against the per-replay one, for every worker count.
-func TestRunPairsMultiMatchesRunPairsArena(t *testing.T) {
-	ws := bench.Small()
-	for i := range ws {
-		ws[i] = ws[i].ScaledTo(5_000)
-	}
-	arenas := bench.NewArenaCache()
-	want, err := RunPairsArena(yield.ScenarioB, ModeULE, ws, arenas, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 8} {
-		got, err := RunPairsMulti(yield.ScenarioB, ModeULE, ws, arenas, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: grouped pairs diverge from RunPairsArena", workers)
-		}
-	}
-}
-
 func TestRunGroupValidation(t *testing.T) {
 	w, err := bench.ByName("gsm_c")
 	if err != nil {

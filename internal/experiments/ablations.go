@@ -53,22 +53,15 @@ func waySplitAblation(o Options) sim.Experiment {
 			if err != nil {
 				return sim.Result{}, err
 			}
-			w, arena, err := o.workloadArena("adpcm_c")
-			if err != nil {
-				return sim.Result{}, err
-			}
 			cb := core.PaperConfig(yield.ScenarioA, core.Baseline)
 			cb.ULEWays = ule
 			cp := core.PaperConfig(yield.ScenarioA, core.Proposed)
 			cp.ULEWays = ule
-			rb, err := core.MustNewSystem(cb).RunArena(w.Name, arena, m)
+			reps, err := o.replays.reports(workloadSource("adpcm_c"), member{cb, m}, member{cp, m})
 			if err != nil {
 				return sim.Result{}, err
 			}
-			rp, err := core.MustNewSystem(cp).RunArena(w.Name, arena, m)
-			if err != nil {
-				return sim.Result{}, err
-			}
+			rb, rp := reps[0], reps[1]
 			return sim.Result{Metrics: []sim.Metric{
 				sim.Fmt("baseline_epi", rb.EPI.Total(), "%.2f"),
 				sim.Fmt("proposed_epi", rp.EPI.Total(), "%.2f"),
@@ -106,22 +99,15 @@ func memLatencyAblation(o Options) sim.Experiment {
 				if m == core.ModeULE {
 					name = "adpcm_c"
 				}
-				w, arena, err := o.workloadArena(name)
-				if err != nil {
-					return sim.Result{}, err
-				}
 				cb := core.PaperConfig(yield.ScenarioA, core.Baseline)
 				cb.MemLatency = lat
 				cp := core.PaperConfig(yield.ScenarioA, core.Proposed)
 				cp.MemLatency = lat
-				rb, err := core.MustNewSystem(cb).RunArena(w.Name, arena, m)
+				reps, err := o.replays.reports(workloadSource(name), member{cb, m}, member{cp, m})
 				if err != nil {
 					return sim.Result{}, err
 				}
-				rp, err := core.MustNewSystem(cp).RunArena(w.Name, arena, m)
-				if err != nil {
-					return sim.Result{}, err
-				}
+				rb, rp := reps[0], reps[1]
 				ms = append(ms, sim.Fmt(m.String()+"_saving", 100*(1-rp.EPI.Total()/rb.EPI.Total()), "%.1f%%"))
 			}
 			return sim.Result{Metrics: ms}, nil
@@ -270,17 +256,14 @@ func uleReuseAblation(o Options) sim.Experiment {
 		},
 		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
 			gate := t.Params["gate"] == "true"
-			// mpeg2_c needs more than the 7 KB of HP ways.
-			w, arena, err := o.workloadArena("mpeg2_c")
-			if err != nil {
-				return sim.Result{}, err
-			}
 			cfg := core.PaperConfig(yield.ScenarioA, core.Proposed)
 			cfg.GateULEWaysAtHP = gate
-			rep, err := core.MustNewSystem(cfg).RunArena(w.Name, arena, core.ModeHP)
+			// mpeg2_c needs more than the 7 KB of HP ways.
+			reps, err := o.replays.reports(workloadSource("mpeg2_c"), member{cfg, core.ModeHP})
 			if err != nil {
 				return sim.Result{}, err
 			}
+			rep := reps[0]
 			memEPI := memAccessPJ * float64(rep.Stats.DMisses+rep.Stats.IMisses) / float64(rep.Stats.Instructions)
 			return sim.Result{Metrics: []sim.Metric{
 				sim.Fmt("dl1_miss", missPct(rep.Stats.DMisses, rep.Stats.DAccesses), "%.3f%%"),

@@ -20,19 +20,19 @@ import (
 // modes: EPI for baseline and proposed, miss rates, and the ULE-mode
 // slowdown from the EDC pipeline stage. The grid fans out on the
 // engine with single-pass grouped replay on top of decode-once arenas:
-// every workload is generated once into a shared slab, and the four
-// design×mode points of one (scenario, workload) replay it as ONE
-// core.RunGroupArena pass — one cursor walk, one classification, and
-// (designs sharing cache state at equal mode) two cache simulations
-// per side where the grid has four evaluation points. Each grid task
-// keeps its own row; it just reads its mode's pair out of the shared
-// group, so grid shape, metrics and the workers-invariance contract
-// are untouched — grouped replay is bit-identical to per-point replay.
+// every workload is generated once into a shared slab, and each grid
+// task asks the replay memo for both modes of its (scenario, source),
+// so the four design×mode points replay as ONE core.RunGroupArena
+// pass — one cursor walk, one classification, and (designs sharing
+// cache state at equal mode) two cache simulations per side — minus
+// whatever the figures already replayed. Each grid task keeps its own
+// row, reading its mode's pair, so grid shape, metrics and the
+// workers-invariance contract are untouched — grouped replay is
+// bit-identical to per-point replay.
 // Options.TraceFiles adds captured trace files as further grid points,
 // completing the capture-then-sweep loop on the engine.
 func corpusExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	groups := newPairGroups(o, newSharedSystems())
 	return sim.Def{
 		ExpName: "corpus",
 		Desc:    "corpus-wide sweep — EPI, miss rates and ULE slowdown for every registered workload (and any -trace file), both scenarios and modes",
@@ -69,7 +69,7 @@ func corpusExperiment(o Options) sim.Experiment {
 			if err != nil {
 				return sim.Result{}, err
 			}
-			p, err := groups.pair(groupKey{scenario: s, workload: t.Params["workload"], trace: t.Params["trace"]}, m)
+			p, err := o.corpusPair(s, taskSource(t), m)
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -179,10 +179,8 @@ func corpusMissExperiment(o Options) sim.Experiment {
 			if w, err = calibratedByName(k.workload, o.Instructions); err == nil {
 				arena = o.arenas.Get(w)
 			}
-		case k.trace != "":
-			arena, err = o.fileArenas.Get(k.trace)
 		default:
-			_, arena, err = o.workloadArena(k.workload)
+			arena, err = o.sourceSlab(replaySource{name: k.workload, path: k.trace})
 		}
 		if err != nil {
 			return nil, err

@@ -7,7 +7,11 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -20,7 +24,11 @@ import (
 )
 
 // Options tunes the cost of the registered experiments. Tests register
-// with tiny values; the binaries default to the paper's.
+// with tiny values; the binaries default to the paper's. The defaulted
+// value also carries the run's shared caches — workload slabs, trace
+// file slabs and the replay memo — so experiments registered from one
+// RegisterAll generate each source and run each distinct replay once;
+// separate RegisterAll calls share nothing.
 type Options struct {
 	// Instructions is the dynamic instruction count per workload run
 	// (default 300 000, the paper-scale trace length).
@@ -67,9 +75,13 @@ type Options struct {
 	// arenas memoizes materialized workload slabs and fileArenas
 	// opened trace files, so every experiment registered from one
 	// RegisterAll call generates/opens each source exactly once per
-	// run. Both are installed by withDefaults and shared through it.
+	// run. replays memoizes simulation Reports by (design point, mode,
+	// source) on top of them, so each distinct replay runs once per
+	// run (see replay.go). All three are installed by withDefaults and
+	// shared through it.
 	arenas     *bench.ArenaCache
 	fileArenas *sim.Shared[string, trace.Slab]
+	replays    *replayMemo
 }
 
 func (o Options) withDefaults() Options {
@@ -100,6 +112,9 @@ func (o Options) withDefaults() Options {
 			return trace.OpenSlab(path, threshold)
 		})
 	}
+	if o.replays == nil {
+		o.replays = newReplayMemo(o)
+	}
 	return o
 }
 
@@ -108,6 +123,10 @@ func (o Options) withDefaults() Options {
 // Workers and MapThreshold are deliberately absent: the engine's
 // standing determinism and mmap-differential tests prove neither can
 // change a result byte, so including them would only split the cache.
+// Trace files enter by path and by a SHA-256 of their bytes, so a file
+// regenerated in place misses instead of serving the old results; the
+// files are read here, so only runs that build a store scope pay for
+// the hash.
 func (o Options) CanonicalString() string {
 	o = o.withDefaults()
 	var b strings.Builder
@@ -124,6 +143,8 @@ func (o Options) CanonicalString() string {
 			b.WriteByte(',')
 		}
 		b.WriteString(tf)
+		b.WriteByte('@')
+		b.WriteString(fileDigest(tf))
 	}
 	b.WriteString(" l2=")
 	for i, g := range o.L2Geometries {
@@ -136,10 +157,27 @@ func (o Options) CanonicalString() string {
 	return b.String()
 }
 
+// fileDigest is the hex SHA-256 of a file's bytes, or "unreadable" when
+// it cannot be read: such a scope can only miss on that file's grid
+// points, which fail to open it anyway.
+func fileDigest(path string) string {
+	f, err := os.Open(path)
+	if err != nil {
+		return "unreadable"
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "unreadable"
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // RegisterAll registers the full evaluation suite on the registry. The
-// defaulted Options carry the run's shared decode-once caches, so every
-// experiment registered here generates each workload — and decodes each
-// trace file — at most once, no matter how many grids replay it.
+// defaulted Options carry the run's shared caches, so every experiment
+// registered here generates each workload — and decodes each trace
+// file — at most once, and runs each distinct (design point, mode,
+// source) replay at most once, no matter how many grids report it.
 // It also registers the typed Result.Data payloads the suite attaches
 // (core.Pair under the figure and corpus grids), so store-backed runs
 // can checkpoint those results losslessly and Finish aggregation works
@@ -219,23 +257,18 @@ func (o Options) workloadArena(name string) (bench.Workload, *trace.Arena, error
 	return w, o.arenas.Get(w), nil
 }
 
-// taskArena resolves a grid task's replay source: a trace-file slab
-// (materialized or mmap-backed, per MapThreshold) when the task names
-// one (the "trace" parameter), the workload's shared slab otherwise.
-// The returned name labels reports.
-func (o Options) taskArena(t sim.Task) (string, trace.Slab, error) {
-	if path := t.Params["trace"]; path != "" {
-		a, err := o.fileArenas.Get(path)
-		if err != nil {
-			return "", nil, err
-		}
-		return t.Params["workload"], a, nil
+// sourceSlab resolves a replay source to its shared slab: the trace
+// file's (materialized or mmap-backed, per MapThreshold) when the
+// source names one, the workload's generated slab otherwise.
+func (o Options) sourceSlab(src replaySource) (trace.Slab, error) {
+	if src.path != "" {
+		return o.fileArenas.Get(src.path)
 	}
-	w, a, err := o.workloadArena(t.Params["workload"])
+	_, a, err := o.workloadArena(src.name)
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
-	return w.Name, a, nil
+	return a, nil
 }
 
 // traceSourceNames labels each file-backed sweep source for the

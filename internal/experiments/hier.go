@@ -16,8 +16,11 @@ import (
 // much of the L1 miss cost an L2 absorbs per workload (hier-epi, with
 // per-level energy attribution), and what two cores contending for one
 // shared L2 cost each other (shared-l2). Both sweep Options.L2Geometries
-// at Options.L2Latency; systems are memoized per design point so a grid
-// of N workloads builds each hierarchy configuration once.
+// at Options.L2Latency and replay through the registry's replay memo,
+// so each design point's System is built once and each distinct
+// (design point, workload) replay runs once: shared-l2's solo runs are
+// hier-epi's prot=none points, and hier-epi's flat sibling is corpus's
+// scenario-A proposed HP member.
 
 // L2Geometry is one swept second-level shape; the line size is always
 // the L1's.
@@ -87,27 +90,14 @@ func protByName(name string) (ecc.Kind, error) {
 // phase-shifting mix and the L1-adversarial sweep.
 var hierWorkloads = []string{"gsm_c", "ptrchase_l", "stencil_dsp", "phased_mix", "adversarial_l1"}
 
-// hierKey identifies one memoized hierarchy design point.
-type hierKey struct {
-	geom L2Geometry
-	prot ecc.Kind
-}
-
-// newHierSystems memoizes one scenario-A proposed System per hierarchy
-// design point, plus the flat (no-L2) sibling every delta compares
-// against.
-func newHierSystems(o Options) (*sim.Shared[hierKey, *core.System], *sim.Shared[struct{}, *core.System]) {
-	tiered := sim.NewShared(func(k hierKey) (*core.System, error) {
-		cfg := core.PaperConfig(scenarios[0], core.Proposed).WithL2(core.L2Config{
-			Sets: k.geom.Sets, Ways: k.geom.Ways, LineBytes: 32,
-			Latency: o.L2Latency, Protection: k.prot,
-		})
-		return core.NewSystem(cfg)
+// hierConfig is the scenario-A proposed design behind one swept L2
+// design point; the flat sibling every delta compares against is the
+// same design without the L2.
+func hierConfig(o Options, g L2Geometry, prot ecc.Kind) core.Config {
+	return core.PaperConfig(scenarios[0], core.Proposed).WithL2(core.L2Config{
+		Sets: g.Sets, Ways: g.Ways, LineBytes: 32,
+		Latency: o.L2Latency, Protection: prot,
 	})
-	flat := sim.NewShared(func(struct{}) (*core.System, error) {
-		return core.NewSystem(core.PaperConfig(scenarios[0], core.Proposed))
-	})
-	return tiered, flat
 }
 
 // hierEPIExperiment sweeps L2 geometry × protection × workload on the
@@ -116,7 +106,6 @@ func newHierSystems(o Options) (*sim.Shared[hierKey, *core.System], *sim.Shared[
 // whole-run EPI and cycle delta against the single-level platform.
 func hierEPIExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	tiered, flat := newHierSystems(o)
 	return sim.Def{
 		ExpName: "hier-epi",
 		Desc:    "two-level hierarchy sweep — per-level EPI, traffic and stall breakdown across L2 geometry × protection × workload, with deltas vs the single-level platform",
@@ -144,26 +133,15 @@ func hierEPIExperiment(o Options) sim.Experiment {
 			if err != nil {
 				return sim.Result{}, err
 			}
-			w, arena, err := o.workloadArena(t.Params["workload"])
+			tiered := hierConfig(o, g, prot)
+			flat := tiered
+			flat.L2 = nil
+			reps, err := o.replays.reports(workloadSource(t.Params["workload"]),
+				member{tiered, core.ModeHP}, member{flat, core.ModeHP})
 			if err != nil {
 				return sim.Result{}, err
 			}
-			sys, err := tiered.Get(hierKey{geom: g, prot: prot})
-			if err != nil {
-				return sim.Result{}, err
-			}
-			fsys, err := flat.Get(struct{}{})
-			if err != nil {
-				return sim.Result{}, err
-			}
-			rep, err := sys.RunArena(w.Name, arena, core.ModeHP)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			frep, err := fsys.RunArena(w.Name, arena, core.ModeHP)
-			if err != nil {
-				return sim.Result{}, err
-			}
+			rep, frep := reps[0], reps[1]
 			l1, l2 := rep.Levels[0], rep.Levels[1]
 			ms := []sim.Metric{
 				sim.NumU("epi", rep.EPI.Total(), "pJ/i"),
@@ -199,7 +177,6 @@ var sharedPairs = [][2]string{
 // when sharing versus running the same hierarchy alone.
 func sharedL2Experiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	tiered, _ := newHierSystems(o)
 	return sim.Def{
 		ExpName: "shared-l2",
 		Desc:    "shared-L2 contention sweep — per-core EPI and L2 miss inflation of co-running workload pairs vs each running the hierarchy alone",
@@ -229,7 +206,8 @@ func sharedL2Experiment(o Options) sim.Experiment {
 			if err != nil {
 				return sim.Result{}, err
 			}
-			sys, err := tiered.Get(hierKey{geom: g, prot: ecc.KindNone})
+			cfg := hierConfig(o, g, ecc.KindNone)
+			sys, err := o.replays.system(cfg)
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -243,12 +221,13 @@ func sharedL2Experiment(o Options) sim.Experiment {
 			var detail strings.Builder
 			fmt.Fprintf(&detail, "  %-16s %10s %10s %12s %12s\n",
 				"core", "epi pJ/i", "Δepi", "l2 misses", "Δmisses")
-			arenas := []*trace.Arena{aa, ab}
 			for i, rep := range shared {
-				alone, err := sys.RunArena(rep.Workload, arenas[i], core.ModeHP)
+				// Running alone is hier-epi's prot=none point.
+				alones, err := o.replays.reports(workloadSource(rep.Workload), member{cfg, core.ModeHP})
 				if err != nil {
 					return sim.Result{}, err
 				}
+				alone := alones[0]
 				sm := rep.Levels[1].Misses
 				am := alone.Levels[1].Misses
 				dEPI := 100 * (rep.EPI.Total()/alone.EPI.Total() - 1)

@@ -115,59 +115,20 @@ func pairGrid(m core.Mode, instructions int) []sim.Task {
 	return tasks
 }
 
-// sharedSystems lazily builds the sized baseline/proposed pair per
-// scenario so every grid task of a figure reuses one sizing run — a
-// System is immutable and serves concurrent Run calls. It is a thin
-// typed wrapper over the engine's generic shared-resource helper.
-type sharedSystems struct {
-	shared *sim.Shared[yield.Scenario, [2]*core.System]
-}
-
-func newSharedSystems() *sharedSystems {
-	return &sharedSystems{shared: sim.NewShared(func(s yield.Scenario) ([2]*core.System, error) {
-		base, err := core.NewSystem(core.PaperConfig(s, core.Baseline))
-		if err != nil {
-			return [2]*core.System{}, err
-		}
-		prop, err := core.NewSystem(core.PaperConfig(s, core.Proposed))
-		if err != nil {
-			return [2]*core.System{}, err
-		}
-		return [2]*core.System{base, prop}, nil
-	})}
-}
-
-func (c *sharedSystems) get(s yield.Scenario) (base, prop *core.System, err error) {
-	pair, err := c.shared.Get(s)
-	return pair[0], pair[1], err
-}
-
-// runPairTask evaluates one (scenario, workload) bar pair — replaying
-// the workload's shared decode-once slab on both designs as one
-// two-member group (a single slab walk and classification) — and
-// attaches the Pair as the result payload for the Finish aggregation.
-func runPairTask(t sim.Task, m core.Mode, o Options, systems *sharedSystems) (sim.Result, core.Pair, error) {
+// runPairTask evaluates one (scenario, workload) bar pair at mode m
+// through the replay memo and attaches the Pair as the result payload
+// for the Finish aggregation.
+func runPairTask(t sim.Task, m core.Mode, o Options) (sim.Result, core.Pair, error) {
 	s, err := taskScenario(t)
 	if err != nil {
 		return sim.Result{}, core.Pair{}, err
 	}
-	w, arena, err := o.workloadArena(t.Params["workload"])
+	ps, err := o.pairs(s, workloadSource(t.Params["workload"]), m)
 	if err != nil {
 		return sim.Result{}, core.Pair{}, err
 	}
-	base, prop, err := systems.get(s)
-	if err != nil {
-		return sim.Result{}, core.Pair{}, err
-	}
-	reps, err := core.RunGroupArena(w.Name, arena, []core.GroupMember{
-		{Sys: base, Mode: m}, {Sys: prop, Mode: m},
-	})
-	if err != nil {
-		return sim.Result{}, core.Pair{}, err
-	}
-	p := core.Pair{Workload: w.Name, Base: reps[0], Prop: reps[1]}
-	res := sim.Result{Metrics: pairMetrics(p), Data: p}
-	return res, p, nil
+	p := ps[0]
+	return sim.Result{Metrics: pairMetrics(p), Data: p}, p, nil
 }
 
 func pairMetrics(p core.Pair) []sim.Metric {
@@ -248,13 +209,12 @@ func figureFinish(name string, m core.Mode, paperSaving map[yield.Scenario]strin
 // HP mode over BigBench, one grid task per (scenario, workload).
 func fig3Experiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	systems := newSharedSystems()
 	return sim.Def{
 		ExpName: "fig3",
 		Desc:    "E1: Fig. 3 — normalized average EPI at HP mode (BigBench)",
 		GridFn:  func() []sim.Task { return pairGrid(core.ModeHP, o.Instructions) },
 		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			res, _, err := runPairTask(t, core.ModeHP, o, systems)
+			res, _, err := runPairTask(t, core.ModeHP, o)
 			return res, err
 		},
 		FinishFn: figureFinish("fig3", core.ModeHP,
@@ -266,13 +226,12 @@ func fig3Experiment(o Options) sim.Experiment {
 // at ULE mode over SmallBench, bars included per task.
 func fig4Experiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	systems := newSharedSystems()
 	return sim.Def{
 		ExpName: "fig4",
 		Desc:    "E2: Fig. 4 — normalized EPI breakdowns at ULE mode (SmallBench)",
 		GridFn:  func() []sim.Task { return pairGrid(core.ModeULE, o.Instructions) },
 		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			res, p, err := runPairTask(t, core.ModeULE, o, systems)
+			res, p, err := runPairTask(t, core.ModeULE, o)
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -286,8 +245,8 @@ func fig4Experiment(o Options) sim.Experiment {
 
 // headlineExperiment prints the paper-vs-measured summary (E3). Each
 // grid task is one (scenario, mode) point whose workload suite fans out
-// on the inner pool via core.RunPairsMulti, each workload replaying
-// both designs in a single pass.
+// on the inner pool, each workload's baseline/proposed pair read from
+// the replay memo (fig3 and fig4 replay the same pairs).
 func headlineExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
 	paper := map[yield.Scenario]map[core.Mode]string{
@@ -318,7 +277,14 @@ func headlineExperiment(o Options) sim.Experiment {
 			if err != nil {
 				return sim.Result{}, err
 			}
-			pairs, err := core.RunPairsMulti(s, m, suite(m, o.Instructions), o.arenas, o.Workers)
+			ws := suite(m, o.Instructions)
+			pairs, err := sim.Map(o.Workers, len(ws), func(i int) (core.Pair, error) {
+				ps, err := o.pairs(s, workloadSource(ws[i].Name), m)
+				if err != nil {
+					return core.Pair{}, err
+				}
+				return ps[0], nil
+			})
 			if err != nil {
 				return sim.Result{}, err
 			}

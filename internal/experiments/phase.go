@@ -15,15 +15,15 @@ import (
 // working-set regime (phase id) instead of per run — the view a
 // run-level average hides exactly when the working set shifts
 // mid-stream. Each task reports baseline and proposed EPI per phase,
-// the per-phase saving, and the per-phase DL1 miss rate. Workloads
-// replay from shared decode-once arenas; Options.TraceFiles adds
+// the per-phase saving, and the per-phase DL1 miss rate. Its replays
+// are corpus's, read from the replay memo (phase segmentation rides
+// along in every Report); Options.TraceFiles adds
 // captured phase-annotated traces (duty-cycle captures, tracegen
 // -phases output) as further grid points — recorded schedules as
 // first-class sweep inputs. A named file without phase annotations
 // reports "phases: none" rather than failing the sweep.
 func phaseEPIExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	systems := newSharedSystems()
 	return sim.Def{
 		ExpName: "phase-epi",
 		Desc:    "phase-segmented corpus sweep — EPI, saving and miss rate per working-set regime of every phase-annotated workload (and any -trace file)",
@@ -62,7 +62,8 @@ func phaseEPIExperiment(o Options) sim.Experiment {
 			if err != nil {
 				return sim.Result{}, err
 			}
-			name, arena, err := o.taskArena(t)
+			name := t.Params["workload"]
+			arena, err := o.sourceSlab(taskSource(t))
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -71,18 +72,11 @@ func phaseEPIExperiment(o Options) sim.Experiment {
 					sim.Str("phases", "none (file carries no phase annotations; capture with -phases or RunDutyCycleCapture)"),
 				}}, nil
 			}
-			base, prop, err := systems.get(s)
+			p, err := o.corpusPair(s, taskSource(t), m)
 			if err != nil {
 				return sim.Result{}, err
 			}
-			rb, err := base.RunArena(name, arena, m)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			rp, err := prop.RunArena(name, arena, m)
-			if err != nil {
-				return sim.Result{}, err
-			}
+			rb, rp := p.Base, p.Prop
 			if len(rp.Phases) == 0 || len(rb.Phases) != len(rp.Phases) {
 				return sim.Result{}, fmt.Errorf("experiments: %s reported %d/%d phase segments", name, len(rb.Phases), len(rp.Phases))
 			}

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -8,6 +11,8 @@ import (
 	"edcache/internal/core"
 	"edcache/internal/ecc"
 	"edcache/internal/sim"
+	"edcache/internal/store"
+	"edcache/internal/trace"
 	"edcache/internal/yield"
 )
 
@@ -111,5 +116,83 @@ func TestCanonicalStringCoversResultShapingOptions(t *testing.T) {
 	}
 	if baseOpt.CanonicalString() != baseStr {
 		t.Error("CanonicalString is not stable across calls")
+	}
+}
+
+// TestStoreScopeTracksTraceFileContent is the regenerated-trace repro:
+// a store filled by a corpus-miss sweep over an adpcm_c capture must
+// not serve those results once the file at the same path holds an
+// epic_c capture. The resumed sweep must equal a fresh one, not the
+// old one — the store may only miss, never serve a stale result.
+func TestStoreScopeTracksTraceFileContent(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.trace")
+	capture := func(name string) {
+		t.Helper()
+		w, err := workloadByName(name, 2_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := trace.WriteV2(f, w.Stream(), trace.V2Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := store.Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Instructions: 2_000, TraceFiles: []string{path}}
+	sweep := func(cache *sim.StoreCache) []byte {
+		t.Helper()
+		reg := sim.NewRegistry()
+		RegisterAll(reg, o)
+		runner := sim.Runner{Workers: 2}
+		if cache != nil {
+			runner.Cache = cache
+		}
+		res, err := runner.RunAll(reg, []string{"corpus-miss"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderJSON(t, res)
+	}
+	storeCache := func() *sim.StoreCache {
+		return &sim.StoreCache{Store: st, Scope: []string{"test", o.CanonicalString(), "seed=0"}, Read: true}
+	}
+
+	capture("adpcm_c")
+	old := sweep(storeCache())
+	oldScope := o.CanonicalString()
+
+	capture("epic_c")
+	if o.CanonicalString() == oldScope {
+		t.Error("regenerating the trace file did not change CanonicalString")
+	}
+	fresh := sweep(nil)
+	if bytes.Equal(fresh, old) {
+		t.Fatal("fixture too weak: adpcm_c and epic_c captures sweep identically")
+	}
+	cache := storeCache()
+	if resumed := sweep(cache); !bytes.Equal(resumed, fresh) {
+		t.Fatal("resumed sweep over the regenerated file differs from a fresh sweep")
+	}
+	if hits := cache.Stats().Hits; hits != 0 {
+		t.Fatalf("store served %d grid points keyed on the old file content", hits)
+	}
+
+	// Control: with the file unchanged the same store does serve hits.
+	cache = storeCache()
+	if warm := sweep(cache); !bytes.Equal(warm, fresh) {
+		t.Fatal("warm resume differs from a fresh sweep")
+	}
+	if cache.Stats().Hits == 0 {
+		t.Fatal("unchanged trace file: the store served nothing")
 	}
 }
