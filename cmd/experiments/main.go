@@ -147,15 +147,7 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("open result store: %w", err)
 		}
-		// The scope is everything beyond the grid coordinates that can
-		// change result bytes: the binary's module version and the
-		// result-shaping options (Workers and -map-threshold are proven
-		// result-neutral and deliberately absent — see CanonicalString).
-		cache = &sim.StoreCache{
-			Store: st,
-			Scope: []string{store.ModuleVersion(), opts.CanonicalString(), "seed=" + strconv.FormatInt(*seed, 10)},
-			Read:  *resume,
-		}
+		cache = &sim.StoreCache{Store: st, Scope: storeScope(opts, *seed), Read: *resume}
 		runner.Cache = cache
 	}
 
@@ -178,6 +170,14 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 	return sink.Write(results)
+}
+
+// storeScope is everything beyond the grid coordinates that can change
+// result bytes: the binary's module version, the model revision and
+// result-shaping options (CanonicalString; Workers and -map-threshold
+// are proven result-neutral and deliberately absent), and the seed.
+func storeScope(opts experiments.Options, seed int64) []string {
+	return []string{store.ModuleVersion(), opts.CanonicalString(), "seed=" + strconv.FormatInt(seed, 10)}
 }
 
 // startCPUProfile starts a CPU profile into path; the returned function

@@ -18,6 +18,9 @@ import (
 
 	"edcache/internal/bench"
 	"edcache/internal/cli"
+	"edcache/internal/experiments"
+	"edcache/internal/sim"
+	"edcache/internal/store"
 	"edcache/internal/trace"
 )
 
@@ -218,6 +221,100 @@ func TestStoreResumeByteIdentical(t *testing.T) {
 	if resumed.String() != golden.String() {
 		t.Fatal("resumed run differs from uninterrupted run")
 	}
+}
+
+// TestStoreMissesPreviousModelRevision pins the store's "can only
+// miss" promise across an intended output change: entries written under
+// the previous model revision's scope — the same module version,
+// options and seed — must not be served by -resume. The entries hold
+// poisoned results, so a hit would show in the output as well as in
+// the hit count.
+func TestStoreMissesPreviousModelRevision(t *testing.T) {
+	const seed = 3
+	args := func(extra ...string) []string {
+		return append([]string{"-run", "reliability", "-trials", "200", "-seed", "3", "-format", "json"}, extra...)
+	}
+	var plain bytes.Buffer
+	if err := run(args(), &plain); err != nil {
+		t.Fatal(err)
+	}
+
+	opts := experiments.Options{Instructions: 300_000, Trials: 200}
+	scope := storeScope(opts, seed)
+	rev := fmt.Sprintf("model=%d ", experiments.ModelRevision)
+	if !strings.HasPrefix(scope[1], rev) {
+		t.Fatalf("CanonicalString %q does not lead with %q", scope[1], rev)
+	}
+	rest := strings.TrimPrefix(scope[1], rev)
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(scope []string, read bool) ([]sim.Result, sim.CacheStats) {
+		t.Helper()
+		reg := sim.NewRegistry()
+		experiments.RegisterAll(reg, opts)
+		c := &sim.StoreCache{Store: st, Scope: scope, Read: read}
+		res, err := sim.Runner{Seed: seed, Cache: c}.RunAll(reg, []string{"reliability"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, c.Stats()
+	}
+	// The previous revision's scope, and the scope of builds from before
+	// the model= field existed.
+	for _, prev := range [][]string{
+		{scope[0], fmt.Sprintf("model=%d %s", experiments.ModelRevision-1, rest), scope[2]},
+		{scope[0], rest, scope[2]},
+	} {
+		results, _ := sweep(prev, false)
+		c := &sim.StoreCache{Store: st, Scope: prev}
+		for _, r := range results {
+			r.Metrics = []sim.Metric{sim.Num("poisoned", 1)}
+			c.Put(r.Experiment, r.Task, r)
+		}
+		if _, stats := sweep(prev, true); stats.Hits != uint64(len(results)) {
+			t.Fatalf("poisoned entries not servable under their own scope: %d of %d hits", stats.Hits, len(results))
+		}
+	}
+
+	stderr := captureStderr(t, func() {
+		var resumed bytes.Buffer
+		if err := run(args("-store", dir, "-resume"), &resumed); err != nil {
+			t.Fatal(err)
+		}
+		if resumed.String() != plain.String() {
+			t.Error("-resume served entries written under a previous model revision")
+		}
+	})
+	if strings.Contains(stderr, "store served") {
+		t.Errorf("-resume reported store hits: %q", stderr)
+	}
+	// The -resume run checkpointed under the current scope, which this
+	// test rebuilt correctly only if every point now hits there.
+	if results, stats := sweep(scope, true); stats.Hits != uint64(len(results)) {
+		t.Errorf("current scope: %d of %d hits; the test's scope does not match the CLI's", stats.Hits, len(results))
+	}
+}
+
+// captureStderr runs f with os.Stderr redirected and returns what it
+// wrote there.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stderr
+	os.Stderr = tmp
+	defer func() { os.Stderr = orig }()
+	f()
+	b, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func TestResumeRequiresStore(t *testing.T) {

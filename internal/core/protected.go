@@ -20,7 +20,10 @@ type ProtectedWay struct {
 	dataCodec ecc.Codec
 	tagCodec  ecc.Codec
 	fmap      *faults.WayFaults
-	store     map[faults.WordKey]uint64
+	// store holds each word's codeword at its geom.WordIndex slot; live
+	// marks the words written or hit by a soft error, which Scrub visits.
+	store []uint64
+	live  []bool
 }
 
 // NewProtectedWay builds a way with the given geometry, code family and
@@ -52,7 +55,8 @@ func NewProtectedWay(lines, wordsPerLine int, kind ecc.Kind, dataBits, tagBits i
 		dataCodec: dataCodec,
 		tagCodec:  tagCodec,
 		fmap:      fmap,
-		store:     make(map[faults.WordKey]uint64),
+		store:     make([]uint64, geom.Words()),
+		live:      make([]bool, geom.Words()),
 	}, nil
 }
 
@@ -68,19 +72,27 @@ func (p *ProtectedWay) checkData(line, word int) {
 	}
 }
 
+// write stores a codeword and marks its word live.
+func (p *ProtectedWay) write(k faults.WordKey, codeword uint64) {
+	i := p.geom.WordIndex(k)
+	p.store[i], p.live[i] = codeword, true
+}
+
+// read returns a word's stored codeword as the faulty array delivers it.
+func (p *ProtectedWay) read(k faults.WordKey) uint64 {
+	return p.fmap.Apply(k, p.store[p.geom.WordIndex(k)])
+}
+
 // WriteData encodes and stores a data word.
 func (p *ProtectedWay) WriteData(line, word int, value uint64) {
 	p.checkData(line, word)
-	k := faults.WordKey{Line: line, Word: word}
-	p.store[k] = p.dataCodec.Encode(value & ecc.DataMask(p.dataCodec))
+	p.write(faults.WordKey{Line: line, Word: word}, p.dataCodec.Encode(value&ecc.DataMask(p.dataCodec)))
 }
 
 // ReadData reads a data word through the fault map and the decoder.
 func (p *ProtectedWay) ReadData(line, word int) (uint64, ecc.Result) {
 	p.checkData(line, word)
-	k := faults.WordKey{Line: line, Word: word}
-	raw := p.fmap.Apply(k, p.store[k])
-	return p.dataCodec.Decode(raw)
+	return p.dataCodec.Decode(p.read(faults.WordKey{Line: line, Word: word}))
 }
 
 // WriteTag encodes and stores a line's tag word.
@@ -88,8 +100,7 @@ func (p *ProtectedWay) WriteTag(line int, value uint64) {
 	if line < 0 || line >= p.geom.Lines {
 		panic(fmt.Sprintf("core: tag line %d out of range", line))
 	}
-	k := faults.WordKey{Line: line, Word: p.geom.TagWordIndex()}
-	p.store[k] = p.tagCodec.Encode(value & ecc.DataMask(p.tagCodec))
+	p.write(faults.WordKey{Line: line, Word: p.geom.TagWordIndex()}, p.tagCodec.Encode(value&ecc.DataMask(p.tagCodec)))
 }
 
 // ReadTag reads a line's tag word through the fault map and decoder.
@@ -97,9 +108,7 @@ func (p *ProtectedWay) ReadTag(line int) (uint64, ecc.Result) {
 	if line < 0 || line >= p.geom.Lines {
 		panic(fmt.Sprintf("core: tag line %d out of range", line))
 	}
-	k := faults.WordKey{Line: line, Word: p.geom.TagWordIndex()}
-	raw := p.fmap.Apply(k, p.store[k])
-	return p.tagCodec.Decode(raw)
+	return p.tagCodec.Decode(p.read(faults.WordKey{Line: line, Word: p.geom.TagWordIndex()}))
 }
 
 // InjectSoftError flips one random stored bit of the given data word,
@@ -107,27 +116,32 @@ func (p *ProtectedWay) ReadTag(line int) (uint64, ecc.Result) {
 func (p *ProtectedWay) InjectSoftError(line, word int, rng *rand.Rand) {
 	p.checkData(line, word)
 	k := faults.WordKey{Line: line, Word: word}
-	p.store[k] = faults.FlipRandomBit(p.store[k], ecc.TotalBits(p.dataCodec), rng)
+	p.write(k, faults.FlipRandomBit(p.store[p.geom.WordIndex(k)], ecc.TotalBits(p.dataCodec), rng))
 }
 
-// Scrub re-encodes every stored word from its current decoded value,
-// clearing accumulated correctable soft errors (the periodic scrub the
-// architecture can run at mode switches). It returns the number of words
-// whose decode reported an uncorrectable error; those words keep their
-// raw contents.
+// Scrub re-encodes every stored word (written, or hit by a soft error)
+// from its current decoded value, clearing accumulated correctable soft
+// errors (the periodic scrub the architecture can run at mode
+// switches). It returns the number of words whose decode reported an
+// uncorrectable error; those words keep their raw contents.
 func (p *ProtectedWay) Scrub() int {
 	bad := 0
-	for k, stored := range p.store {
+	perLine := p.geom.WordsPerLine + 1
+	for i, live := range p.live {
+		if !live {
+			continue
+		}
+		k := faults.WordKey{Line: i / perLine, Word: i % perLine}
 		var codec ecc.Codec = p.dataCodec
 		if k.Word == p.geom.TagWordIndex() {
 			codec = p.tagCodec
 		}
-		v, res := codec.Decode(p.fmap.Apply(k, stored))
+		v, res := codec.Decode(p.read(k))
 		if res.Status == ecc.Detected {
 			bad++
 			continue
 		}
-		p.store[k] = codec.Encode(v)
+		p.store[i] = codec.Encode(v)
 	}
 	return bad
 }

@@ -180,3 +180,170 @@ func TestReliabilityEquivalence(t *testing.T) {
 		t.Errorf("proposed MC yield %.3f below baseline %.3f", yp, yb)
 	}
 }
+
+// naiveWay is the reference ProtectedWay: the map-backed store and the
+// per-word fault lists the dense implementation replaced. Faults apply
+// in injection order and Scrub visits exactly the words present in the
+// store map.
+type naiveWay struct {
+	wpl        int
+	data, tag  ecc.Codec
+	faultsByWd map[faults.WordKey][]faults.BitFault
+	store      map[faults.WordKey]uint64
+}
+
+func (n *naiveWay) read(k faults.WordKey) uint64 {
+	cw := n.store[k]
+	for _, f := range n.faultsByWd[k] {
+		cw = cw&^(1<<uint(f.Pos)) | f.Stuck<<uint(f.Pos)
+	}
+	return cw
+}
+
+func (n *naiveWay) codec(k faults.WordKey) ecc.Codec {
+	if k.Word == n.wpl {
+		return n.tag
+	}
+	return n.data
+}
+
+func (n *naiveWay) scrub() int {
+	bad := 0
+	for k := range n.store {
+		v, res := n.codec(k).Decode(n.read(k))
+		if res.Status == ecc.Detected {
+			bad++
+			continue
+		}
+		n.store[k] = n.codec(k).Encode(v)
+	}
+	return bad
+}
+
+// TestProtectedWayMatchesMapReference drives the dense ProtectedWay and
+// the map-backed reference through the same random sequences of
+// writes, reads, soft errors and scrubs over the same injected hard
+// faults (duplicates on one cell included), and requires identical
+// read values, ecc.Results and Scrub counts.
+func TestProtectedWayMatchesMapReference(t *testing.T) {
+	const lines, wpl = 4, 3
+	for _, kind := range []ecc.Kind{ecc.KindSECDED, ecc.KindDECTED} {
+		for seq := int64(0); seq < 40; seq++ {
+			rng := rand.New(rand.NewSource(100*int64(kind) + seq))
+			dataCodec, _ := ecc.New(kind, 32)
+			tagCodec, _ := ecc.New(kind, 26)
+			geom := faults.WayGeometry{Lines: lines, WordsPerLine: wpl,
+				DataWordBits: ecc.TotalBits(dataCodec), TagWordBits: ecc.TotalBits(tagCodec)}
+			fm := faults.Empty(geom)
+			ref := &naiveWay{wpl: wpl, data: dataCodec, tag: tagCodec,
+				faultsByWd: map[faults.WordKey][]faults.BitFault{}, store: map[faults.WordKey]uint64{}}
+			for i := rng.Intn(8); i > 0; i-- {
+				k := faults.WordKey{Line: rng.Intn(lines), Word: rng.Intn(wpl + 1)}
+				f := faults.BitFault{Pos: rng.Intn(8), Stuck: uint64(rng.Intn(2))}
+				fm.Inject(k, f)
+				ref.faultsByWd[k] = append(ref.faultsByWd[k], f)
+			}
+			p, err := NewProtectedWay(lines, wpl, kind, 32, 26, fm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			softP := rand.New(rand.NewSource(seq))
+			softRef := rand.New(rand.NewSource(seq))
+			for step := 0; step < 200; step++ {
+				line, word := rng.Intn(lines), rng.Intn(wpl)
+				dk := faults.WordKey{Line: line, Word: word}
+				tk := faults.WordKey{Line: line, Word: wpl}
+				switch op := rng.Intn(6); op {
+				case 0:
+					v := rng.Uint64()
+					p.WriteData(line, word, v)
+					ref.store[dk] = dataCodec.Encode(v & ecc.DataMask(dataCodec))
+				case 1:
+					v := rng.Uint64()
+					p.WriteTag(line, v)
+					ref.store[tk] = tagCodec.Encode(v & ecc.DataMask(tagCodec))
+				case 2:
+					got, gres := p.ReadData(line, word)
+					want, wres := dataCodec.Decode(ref.read(dk))
+					if got != want || gres != wres {
+						t.Fatalf("%v seq %d step %d: ReadData(%d,%d) = %#x %+v, want %#x %+v", kind, seq, step, line, word, got, gres, want, wres)
+					}
+				case 3:
+					got, gres := p.ReadTag(line)
+					want, wres := tagCodec.Decode(ref.read(tk))
+					if got != want || gres != wres {
+						t.Fatalf("%v seq %d step %d: ReadTag(%d) = %#x %+v, want %#x %+v", kind, seq, step, line, got, gres, want, wres)
+					}
+				case 4:
+					p.InjectSoftError(line, word, softP)
+					ref.store[dk] = faults.FlipRandomBit(ref.store[dk], ecc.TotalBits(dataCodec), softRef)
+				case 5:
+					if got, want := p.Scrub(), ref.scrub(); got != want {
+						t.Fatalf("%v seq %d step %d: Scrub = %d, want %d", kind, seq, step, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestProtectedWayScrubVisitsLiveWordsOnly pins which words Scrub
+// visits: a faulty word never written is skipped, and a soft error on
+// it makes it live. The word's every cell is stuck, two of them at 1,
+// so whatever is stored it reads as a detected double error.
+func TestProtectedWayScrubVisitsLiveWordsOnly(t *testing.T) {
+	geom := faults.WayGeometry{Lines: 4, WordsPerLine: 2, DataWordBits: 39, TagWordBits: 33}
+	fm := faults.Empty(geom)
+	k := faults.WordKey{Line: 2, Word: 1}
+	for pos := 0; pos < geom.DataWordBits; pos++ {
+		stuck := uint64(0)
+		if pos == 3 || pos == 20 {
+			stuck = 1
+		}
+		fm.Inject(k, faults.BitFault{Pos: pos, Stuck: stuck})
+	}
+	p, err := NewProtectedWay(4, 2, ecc.KindSECDED, 32, 26, fm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.WriteData(0, 0, 7)
+	if bad := p.Scrub(); bad != 0 {
+		t.Fatalf("Scrub visited the unwritten faulty word: %d uncorrectable", bad)
+	}
+	p.InjectSoftError(k.Line, k.Word, rand.New(rand.NewSource(1)))
+	if bad := p.Scrub(); bad != 1 {
+		t.Fatalf("Scrub after a soft error on the unwritten word: %d uncorrectable, want 1", bad)
+	}
+}
+
+// TestProtectedWayTagFaultSlot checks a hard fault injected at a line's
+// tag word reaches ReadTag and no data word of that line or the next.
+func TestProtectedWayTagFaultSlot(t *testing.T) {
+	geom := faults.WayGeometry{Lines: 4, WordsPerLine: 2, DataWordBits: 39, TagWordBits: 33}
+	fm := faults.Empty(geom)
+	fm.Inject(faults.WordKey{Line: 1, Word: geom.TagWordIndex()}, faults.BitFault{Pos: 0, Stuck: 1})
+	p, err := NewProtectedWay(4, 2, ecc.KindSECDED, 32, 26, fm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for line := 0; line < 4; line++ {
+		p.WriteTag(line, 0x100)
+		for w := 0; w < 2; w++ {
+			p.WriteData(line, w, 0x100)
+		}
+	}
+	for line := 0; line < 4; line++ {
+		want := ecc.OK
+		if line == 1 {
+			want = ecc.Corrected
+		}
+		if v, res := p.ReadTag(line); v != 0x100 || res.Status != want {
+			t.Errorf("ReadTag(%d) = %#x %v, want 0x100 %v", line, v, res.Status, want)
+		}
+		for w := 0; w < 2; w++ {
+			if v, res := p.ReadData(line, w); v != 0x100 || res.Status != ecc.OK {
+				t.Errorf("ReadData(%d,%d) = %#x %v, want clean", line, w, v, res.Status)
+			}
+		}
+	}
+}

@@ -118,8 +118,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// ModelRevision versions the bytes the model computes. It leads
+// CanonicalString, so it is part of every result-store scope: a store
+// filled by a build that computed different bytes can only miss, even
+// when neither build carries a VCS stamp and store.ModuleVersion reads
+// the same "edcache@(devel)" for both. Bump it when result bytes change
+// on purpose, in the same change that re-baselines the golden digests.
+// Scopes from before revision 2 carry no model= field.
+const ModelRevision = 2
+
 // CanonicalString renders every result-affecting option in a fixed
-// order — the "canonicalized Options" part of a result store digest.
+// order — the "canonicalized Options" part of a result store digest,
+// led by the ModelRevision.
 // Workers and MapThreshold are deliberately absent: the engine's
 // standing determinism and mmap-differential tests prove neither can
 // change a result byte, so including them would only split the cache.
@@ -130,7 +140,7 @@ func (o Options) withDefaults() Options {
 func (o Options) CanonicalString() string {
 	o = o.withDefaults()
 	var b strings.Builder
-	fmt.Fprintf(&b, "instructions=%d trials=%d mcsamples=", o.Instructions, o.Trials)
+	fmt.Fprintf(&b, "model=%d instructions=%d trials=%d mcsamples=", ModelRevision, o.Instructions, o.Trials)
 	for i, s := range o.MCSamples {
 		if i > 0 {
 			b.WriteByte(',')
